@@ -14,16 +14,22 @@
 #                     a -run filter in step 4 can never silently skip it)
 #   5b. zero-alloc guards: the disabled-observability paths (nil trace,
 #                     nil flight recorder, tracing-off translate hot path)
-#                     must stay at exactly zero allocations per operation;
-#                     run explicitly so a -run filter in step 4 can never
-#                     silently skip the AllocsPerRun pins
+#                     must stay at exactly zero allocations per operation,
+#                     and a warm DecodePNG+Release must allocate nothing
+#                     raster-sized; run explicitly so a -run filter in
+#                     step 4 can never silently skip the AllocsPerRun pins
 #   6. fuzz smoke:    a few seconds of coverage-guided fuzzing on each
-#                     text parser (VCD, TDL); regressions on previously
-#                     found inputs fail immediately via the seed corpus
+#                     text parser (VCD, TDL) and on the PNG decoder
+#                     against image/png; regressions on previously found
+#                     inputs fail immediately via the seed corpus
 #   7. benchmark smoke run: one iteration of the Fig. 1 single-image
 #                     pipeline plus the bit-packed kernel micro-benchmarks
 #                     (imgproc word ops, morphology, perception stage), so
-#                     every hot path is exercised end to end
+#                     every hot path is exercised end to end, and 200
+#                     in-process serve-path requests (decode, hash,
+#                     translate, encode, release) on 2 goroutines, which
+#                     fail above 256 KiB allocated per request (per-request
+#                     scratch grows with GOMAXPROCS, so it is pinned)
 #   7b. bench-regression guard: the Fig. 1 single-image pipeline must not
 #                     regress more than 20% over the ns/op recorded in
 #                     BENCH_06.json (median of 3 runs, to ride out shared-
@@ -87,12 +93,15 @@ go test -race ./...
 go test -run 'TestMatchPermutationInvariance|TestMatchNearestWins|TestMatchShortSegmentThreshold' -count 1 ./internal/eval
 go test -run 'TestNilTraceZeroAlloc|TestNilRecorderZeroAlloc' -count 1 ./internal/obs
 go test -run 'TestDisabledTracingZeroAllocOnHotPath' -count 1 ./internal/core
+go test -run 'TestDecodePNGSteadyStateAllocs' -count 1 ./internal/imgproc
 go test -run '^FuzzParse$' -fuzz '^FuzzParse$' -fuzztime 5s ./internal/vcd
 go test -run '^FuzzParse$' -fuzz '^FuzzParse$' -fuzztime 5s ./internal/tdl
+go test -run '^FuzzDecodePNG$' -fuzz '^FuzzDecodePNG$' -fuzztime 5s ./internal/imgproc
 go test -run '^$' -bench BenchmarkFig1PipelineSingleImage -benchtime 1x .
 go test -run '^$' -bench BenchmarkBinaryOps -benchtime 1x ./internal/imgproc
 go test -run '^$' -bench BenchmarkMorphContours -benchtime 1x ./internal/morph
 go test -run '^$' -bench 'BenchmarkAnalyze$' -benchtime 1x .
+go test -run '^$' -bench 'BenchmarkServePath$' -benchtime 200x -cpu 2 .
 
 # --- bench-regression guard ------------------------------------------------
 # Median of 3 runs of the Fig. 1 pipeline vs the ceiling in BENCH_06.json.

@@ -325,6 +325,9 @@ func Process(ctx context.Context, pipe *core.Pipeline, it Item, opts Options) Re
 			r.Err = fmt.Errorf("batch: %s: %w", it.Name, err)
 			return r
 		}
+		// Decoded here, so released here: the result keeps no reference
+		// to the picture once it is hashed and translated.
+		defer img.Release()
 	}
 	if img == nil {
 		r.Err = fmt.Errorf("batch: %s: item carries no picture", it.Name)

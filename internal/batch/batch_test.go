@@ -1,9 +1,13 @@
 package batch_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -410,5 +414,45 @@ func TestFaultHookFailsItems(t *testing.T) {
 		} else if r.Err != nil {
 			t.Errorf("item %d failed: %v", i, r.Err)
 		}
+	}
+}
+
+// TestProcessRefusesPixelBomb feeds batch.Process (the jobs and
+// `tdmagic -batch` path) a 65-byte PNG declaring a 40000×40000 raster: it
+// must fail the item without allocating anything raster-sized.
+func TestProcessRefusesPixelBomb(t *testing.T) {
+	var png bytes.Buffer
+	png.WriteString("\x89PNG\r\n\x1a\n")
+	chunk := func(typ string, data []byte) {
+		var n [4]byte
+		binary.BigEndian.PutUint32(n[:], uint32(len(data)))
+		png.Write(n[:])
+		png.WriteString(typ)
+		png.Write(data)
+		binary.BigEndian.PutUint32(n[:], crc32.Update(crc32.ChecksumIEEE([]byte(typ)), crc32.IEEETable, data))
+		png.Write(n[:])
+	}
+	ihdr := make([]byte, 13)
+	binary.BigEndian.PutUint32(ihdr[0:], 40000)
+	binary.BigEndian.PutUint32(ihdr[4:], 40000)
+	ihdr[8] = 8 // 8-bit grayscale
+	chunk("IHDR", ihdr)
+	chunk("IDAT", []byte{0x78, 0x9c, 0x03, 0x00, 0x00, 0x00, 0x00, 0x01})
+	chunk("IEND", nil)
+
+	item := batch.Item{Name: "bomb.png", Open: func() (io.ReadCloser, error) {
+		return io.NopCloser(bytes.NewReader(png.Bytes())), nil
+	}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	// No pipeline: the item must never get as far as translation.
+	r := batch.Process(context.Background(), nil, item, batch.Options{})
+	runtime.ReadMemStats(&after)
+	var tooLarge *imgproc.RasterTooLargeError
+	if !errors.As(r.Err, &tooLarge) {
+		t.Fatalf("item error %v, want a RasterTooLargeError", r.Err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("refusing the bomb allocated %d bytes", grew)
 	}
 }

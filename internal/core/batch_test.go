@@ -107,3 +107,19 @@ func TestBatchCtxCancellation(t *testing.T) {
 		t.Errorf("err = %v, want context.Canceled", results[0].Err)
 	}
 }
+
+// TestSEDPanicIsolated pins the panic isolation of the concurrent SED
+// stage: a panic in its goroutine becomes the item's error instead of
+// killing the process, and the pipeline keeps translating afterwards.
+func TestSEDPanicIsolated(t *testing.T) {
+	pipe, val := trainSmall(t)
+	SEDFaultHook = func() { panic("injected sed fault") }
+	res := pipe.TranslateAllCtx(context.Background(), []*imgproc.Gray{val[0].Image}, BatchOptions{Workers: 1})
+	SEDFaultHook = nil
+	if res[0].Err == nil || !strings.Contains(res[0].Err.Error(), "injected sed fault") {
+		t.Fatalf("SED panic surfaced as %v, want the item's error", res[0].Err)
+	}
+	if _, _, err := pipe.Translate(val[0].Image); err != nil {
+		t.Fatalf("translate after the recovered panic: %v", err)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -89,7 +90,7 @@ type Report struct {
 // inputs are refused up front: the morphology and proposal stages are
 // sized for document scans, and an adversarially huge bitmap must not be
 // able to stall a batch or exhaust memory.
-const MaxPixels = 1 << 26 // 67 Mpx, ~8192 x 8192
+const MaxPixels = imgproc.MaxPixels
 
 // minDimension is the smallest width/height that can plausibly contain a
 // timing diagram; anything thinner is refused as degenerate.
@@ -379,11 +380,27 @@ func (p *Pipeline) analyzeStagesCtx(ctx context.Context, img *imgproc.Gray, runS
 	runSED = runSED && p.SED != nil
 	var edges []sed.Detection
 	var sedErr error
+	var sedPanic any
 	var wg sync.WaitGroup
+	// Whatever way this function exits — an OCR panic included — SED
+	// is done with img first: the caller may release the picture as soon
+	// as the translation returns.
+	defer wg.Wait()
 	if runSED {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				// A panic here would kill the process; it is re-raised on
+				// the translating goroutine after the join instead, where
+				// the batch plumbing turns it into the item's error.
+				if r := recover(); r != nil {
+					sedPanic = fmt.Sprintf("sed: %v\n%s", r, debug.Stack())
+				}
+			}()
+			if SEDFaultHook != nil {
+				SEDFaultHook()
+			}
 			// SED runs concurrently with OCR; its span is a sibling of
 			// OCR's under the same parent, recorded goroutine-safely.
 			sp := obs.StartSpan(ctx, "sed")
@@ -398,29 +415,30 @@ func (p *Pipeline) analyzeStagesCtx(ctx context.Context, img *imgproc.Gray, runS
 			}
 		}()
 	}
+	var ocrErr error
 	if p.OCR != nil {
 		sp := obs.StartSpan(ctx, "ocr")
 		t0 := time.Now()
 		ocrCfg := p.OCRCfg
 		ocrCfg.Workers = w
-		texts, ocrErr := p.OCR.ReadAllCtx(ctx, lines.BW, lines, ocrCfg)
+		rep.Texts, ocrErr = p.OCR.ReadAllCtx(ctx, lines.BW, lines, ocrCfg)
 		if p.Metrics != nil {
 			p.Metrics.StageOCR.Observe(time.Since(t0).Seconds())
 		}
 		if sp != nil {
-			sp.Int("text_boxes", int64(len(texts))).Bool("error", ocrErr != nil)
+			sp.Int("text_boxes", int64(len(rep.Texts))).Bool("error", ocrErr != nil)
 			sp.End()
 		}
-		if ocrErr != nil {
-			if runSED {
-				wg.Wait()
-			}
-			return rep, ocrErr
-		}
-		rep.Texts = texts
+	}
+	wg.Wait()
+	if sedPanic != nil {
+		panic(sedPanic)
+	}
+	if ocrErr != nil {
+		rep.Texts = nil
+		return rep, ocrErr
 	}
 	if runSED {
-		wg.Wait()
 		if sedErr != nil {
 			return rep, sedErr
 		}
@@ -428,6 +446,11 @@ func (p *Pipeline) analyzeStagesCtx(ctx context.Context, img *imgproc.Gray, runS
 	}
 	return rep, nil
 }
+
+// SEDFaultHook, when non-nil, runs at the start of every concurrent SED
+// stage. It is a fault-injection seam for the panic-isolation tests and
+// must only be set while no translation is running.
+var SEDFaultHook func()
 
 // dropTextOverlaps filters edge detections that coincide with recognised
 // text: IoU >= 0.4 with a text box, or containment in the text box expanded

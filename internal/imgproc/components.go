@@ -3,6 +3,7 @@ package imgproc
 import (
 	"math/bits"
 	"sort"
+	"sync"
 
 	"tdmagic/internal/geom"
 	"tdmagic/internal/parallel"
@@ -49,11 +50,13 @@ func Regions(b *Binary, minArea int) []Region {
 // the fast path for callers that never look at individual member pixels.
 // Ordering and filtering are identical to ComponentsW.
 func RegionsW(b *Binary, minArea, workers int) []Region {
-	runs, _, parent := labelRuns(b, workers)
+	sc := labelPool.Get().(*labelScratch)
+	defer putLabelScratch(sc)
+	runs, parent := sc.labelRuns(b, workers)
 	if runs == nil {
 		return nil
 	}
-	accs, _ := accumulate(runs, parent)
+	accs, _ := sc.accumulate(runs, parent)
 	regs := make([]Region, 0, len(accs))
 	for _, a := range accs {
 		if int(a.area) >= minArea {
@@ -78,11 +81,13 @@ func RegionsW(b *Binary, minArea, workers int) []Region {
 // discovery order — and therefore the sorted output — is bit-identical for
 // any worker count, and identical to the historical per-pixel flood fill.
 func ComponentsW(b *Binary, minArea, workers int) []Component {
-	runs, _, parent := labelRuns(b, workers)
+	sc := labelPool.Get().(*labelScratch)
+	defer putLabelScratch(sc)
+	runs, parent := sc.labelRuns(b, workers)
 	if runs == nil {
 		return nil
 	}
-	accs, compOf := accumulate(runs, parent)
+	accs, compOf := sc.accumulate(runs, parent)
 
 	// Materialise the kept components, Points in row-major order.
 	kept := make([]int32, len(accs))
@@ -121,12 +126,47 @@ func ComponentsW(b *Binary, minArea, workers int) []Component {
 	return comps
 }
 
+// labelScratch is the working memory of one labelling call: every slice
+// is resized per call and fully rewritten before it is read, so the
+// arrays are recycled through labelPool instead of reallocated for each
+// picture.
+type labelScratch struct {
+	bandRuns [][]hrun
+	rowOff   []int32
+	runs     []hrun
+	parent   []int32
+	compOf   []int32
+	accs     []compAcc
+}
+
+var labelPool = sync.Pool{New: func() any { return new(labelScratch) }}
+
+// maxPooledRuns bounds the scratch labelPool keeps: one pathological
+// picture's run arrays are left to the collector instead of circulating.
+const maxPooledRuns = 1 << 18
+
+// putLabelScratch returns sc to labelPool unless it grew too large.
+func putLabelScratch(sc *labelScratch) {
+	if cap(sc.runs) <= maxPooledRuns {
+		labelPool.Put(sc)
+	}
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough; the content is undefined.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // labelRuns extracts the maximal horizontal runs of b in row-major order and
 // unions 8-connected runs, banded over workers goroutines. It returns nil
-// runs when the image is blank or degenerate.
-func labelRuns(b *Binary, workers int) (runs []hrun, rowOff []int32, parent []int32) {
+// runs when the image is blank or degenerate. The slices live in sc.
+func (sc *labelScratch) labelRuns(b *Binary, workers int) (runs []hrun, parent []int32) {
 	if b.W <= 0 || b.H <= 0 {
-		return nil, nil, nil
+		return nil, nil
 	}
 	workers = parallel.Resolve(workers)
 
@@ -143,11 +183,14 @@ func labelRuns(b *Binary, workers int) (runs []hrun, rowOff []int32, parent []in
 
 	// Pass 1: per-band run extraction, plus per-row run counts so the bands
 	// can be concatenated into one row-major slice with O(1) row lookup.
-	bandRuns := make([][]hrun, nb)
-	rowOff = make([]int32, b.H+1)
+	sc.bandRuns = resize(sc.bandRuns, nb)
+	bandRuns := sc.bandRuns
+	sc.rowOff = resize(sc.rowOff, b.H+1)
+	rowOff := sc.rowOff
+	rowOff[0] = 0
 	parallel.For(workers, nb, func(bi int) {
 		y0, y1 := bandStart(bi), bandStart(bi+1)
-		rs := make([]hrun, 0, 4*(y1-y0))
+		rs := bandRuns[bi][:0]
 		for y := y0; y < y1; y++ {
 			row := b.Row(y)
 			n := int32(0)
@@ -167,10 +210,11 @@ func labelRuns(b *Binary, workers int) (runs []hrun, rowOff []int32, parent []in
 	}
 	nRuns := int(rowOff[b.H])
 	if nRuns == 0 {
-		return nil, nil, nil
+		return nil, nil
 	}
-	runs = make([]hrun, nRuns)
-	parent = make([]int32, nRuns)
+	sc.runs = resize(sc.runs, nRuns)
+	sc.parent = resize(sc.parent, nRuns)
+	runs, parent = sc.runs, sc.parent
 	parallel.For(workers, nb, func(bi int) {
 		off := rowOff[bandStart(bi)]
 		copy(runs[off:], bandRuns[bi])
@@ -191,7 +235,7 @@ func labelRuns(b *Binary, workers int) (runs []hrun, rowOff []int32, parent []in
 	for bi := 1; bi < nb; bi++ {
 		unionRows(runs, parent, rowOff, bandStart(bi))
 	}
-	return runs, rowOff, parent
+	return runs, parent
 }
 
 // compAcc is the per-component aggregate built by accumulate.
@@ -204,9 +248,10 @@ type compAcc struct {
 // component. Union-by-min guarantees root(i) <= i, so one ascending sweep
 // sees every root before its members; components come out in discovery
 // order (row-major order of each component's first run).
-func accumulate(runs []hrun, parent []int32) ([]compAcc, []int32) {
-	compOf := make([]int32, len(runs))
-	var accs []compAcc
+func (sc *labelScratch) accumulate(runs []hrun, parent []int32) ([]compAcc, []int32) {
+	sc.compOf = resize(sc.compOf, len(runs))
+	compOf := sc.compOf
+	accs := sc.accs[:0]
 	for i := range runs {
 		r := findRoot(parent, int32(i))
 		var ci int32
@@ -230,6 +275,7 @@ func accumulate(runs []hrun, parent []int32) ([]compAcc, []int32) {
 		compOf[i] = ci
 		accs[ci].area += runs[i].x1 - runs[i].x0 + 1
 	}
+	sc.accs = accs
 	return accs, compOf
 }
 

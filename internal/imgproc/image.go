@@ -9,7 +9,6 @@ package imgproc
 
 import (
 	"encoding/binary"
-	"fmt"
 	"image"
 	"image/color"
 	"image/png"
@@ -24,6 +23,8 @@ import (
 type Gray struct {
 	W, H int
 	Pix  []uint8 // row-major, len = W*H
+
+	slab *[]uint8 // raster-pool holder of Pix's array; nil when not pooled
 }
 
 // NewGray returns a Gray of the given size filled with white (255).
@@ -107,31 +108,53 @@ func (g *Gray) ToImage() *image.Gray {
 }
 
 // FromImage converts any stdlib image to a Gray using the luminance of each
-// pixel.
+// pixel, exactly as color.GrayModel computes it. The result's pixels come
+// from the raster pool, so a caller done with it may Release it.
 func FromImage(img image.Image) *Gray {
 	b := img.Bounds()
-	g := newGrayNoFill(b.Dx(), b.Dy())
+	g := newPooledGray(b.Dx(), b.Dy())
 	switch src := img.(type) {
 	case *image.Gray:
-		// Already 8-bit gray (the common PNG case): copy rows directly
-		// instead of round-tripping every pixel through the color
-		// interfaces — same bytes, an order of magnitude cheaper.
+		// Already 8-bit gray: copy rows directly instead of
+		// round-tripping every pixel through the color interfaces.
 		for y := 0; y < g.H; y++ {
 			copy(g.Pix[y*g.W:(y+1)*g.W], src.Pix[src.PixOffset(b.Min.X, b.Min.Y+y):])
 		}
 	case *image.RGBA:
-		// The same luma weights color.GrayModel uses (JFIF, 16-bit
-		// fixed point), applied straight to the raw RGBA bytes.
 		for y := 0; y < g.H; y++ {
 			row := src.Pix[src.PixOffset(b.Min.X, b.Min.Y+y):]
-			for x := 0; x < g.W; x++ {
-				// Match color.GrayModel bit for bit: it works on 16-bit
-				// channels (v | v<<8, i.e. v*0x101) and shifts the JFIF
-				// weighted sum down by 24.
-				r := uint32(row[x*4]) * 0x101
-				gg := uint32(row[x*4+1]) * 0x101
-				bb := uint32(row[x*4+2]) * 0x101
-				g.Pix[y*g.W+x] = uint8((19595*r + 38470*gg + 7471*bb + 1<<15) >> 24)
+			out := g.Pix[y*g.W : (y+1)*g.W]
+			for x := range out {
+				// color.RGBA is premultiplied: its 16-bit channels are
+				// the 8-bit ones times 0x101.
+				out[x] = luma(uint32(row[x*4])*0x101, uint32(row[x*4+1])*0x101, uint32(row[x*4+2])*0x101)
+			}
+		}
+	case *image.NRGBA:
+		for y := 0; y < g.H; y++ {
+			row := src.Pix[src.PixOffset(b.Min.X, b.Min.Y+y):]
+			out := g.Pix[y*g.W : (y+1)*g.W]
+			for x := range out {
+				// color.NRGBA.RGBA premultiplies each 16-bit channel by
+				// alpha with an integer divide; so does this.
+				a := uint32(row[x*4+3])
+				out[x] = luma(uint32(row[x*4])*0x101*a/0xff, uint32(row[x*4+1])*0x101*a/0xff, uint32(row[x*4+2])*0x101*a/0xff)
+			}
+		}
+	case *image.Paletted:
+		// One conversion per palette entry. Indices past the palette
+		// read as opaque black, as image/png decodes them.
+		var lut [256]uint8
+		for i, c := range src.Palette {
+			if i < len(lut) {
+				lut[i] = color.GrayModel.Convert(c).(color.Gray).Y
+			}
+		}
+		for y := 0; y < g.H; y++ {
+			row := src.Pix[src.PixOffset(b.Min.X, b.Min.Y+y):]
+			out := g.Pix[y*g.W : (y+1)*g.W]
+			for x := range out {
+				out[x] = lut[row[x]]
 			}
 		}
 	default:
@@ -145,17 +168,14 @@ func FromImage(img image.Image) *Gray {
 	return g
 }
 
+// luma is color.GrayModel's conversion of premultiplied 16-bit channels:
+// the JFIF weights in 16-bit fixed point, shifted down to 8 bits.
+func luma(r, g, b uint32) uint8 {
+	return uint8((19595*r + 38470*g + 7471*b + 1<<15) >> 24)
+}
+
 // EncodePNG writes g as a PNG to w.
 func (g *Gray) EncodePNG(w io.Writer) error { return png.Encode(w, g.ToImage()) }
-
-// DecodePNG reads a PNG from r and converts it to a Gray.
-func DecodePNG(r io.Reader) (*Gray, error) {
-	img, err := png.Decode(r)
-	if err != nil {
-		return nil, fmt.Errorf("imgproc: decode png: %w", err)
-	}
-	return FromImage(img), nil
-}
 
 // Binary is a dense 1-bit image, bit-packed into 64-pixel words. Set pixels
 // (true, bit 1) carry ink.
@@ -169,6 +189,8 @@ type Binary struct {
 	W, H   int
 	Stride int      // words per row, (W+63)/64
 	Words  []uint64 // packed rows, len = H*Stride
+
+	slab *[]uint64 // raster-pool holder of Words' array; nil when not pooled
 }
 
 // NewBinary returns an all-clear Binary of the given size.
@@ -200,9 +222,10 @@ func (b *Binary) Set(x, y int, v bool) {
 // Bounds returns the image rectangle in geom coordinates.
 func (b *Binary) Bounds() geom.Rect { return geom.Rect{X0: 0, Y0: 0, X1: b.W - 1, Y1: b.H - 1} }
 
-// Clone returns a deep copy of b.
+// Clone returns a deep copy of b, drawn from the raster pool: a caller
+// whose copy is scratch can Release it when done.
 func (b *Binary) Clone() *Binary {
-	c := &Binary{W: b.W, H: b.H, Stride: b.Stride, Words: make([]uint64, len(b.Words))}
+	c := NewBinaryScratch(b.W, b.H)
 	copy(c.Words, b.Words)
 	return c
 }

@@ -17,51 +17,21 @@
 package morph
 
 import (
-	"sync"
-
 	"tdmagic/internal/geom"
 	"tdmagic/internal/imgproc"
 	"tdmagic/internal/parallel"
 )
 
-// imgPool recycles the smear scratch images. Every word of a pooled image is
-// overwritten before it is read (the shift kernels write their full
-// destination), so stale content — including dirty padding bits — never
-// leaks. The pool is what keeps a full contour extraction at zero
-// steady-state heap growth; it is shared by all goroutines translating
-// through one process, matching the pipeline's concurrent-use contract.
-var imgPool sync.Pool
+// The smear results and intermediate images come from the imgproc raster
+// pool (imgproc.NewBinaryScratch, Binary.Clone); every word of such an
+// image is overwritten before it is read (the shift kernels write their
+// full destination), so stale content — including dirty padding bits —
+// never leaks. Intermediates are released as soon as the next pass has
+// read them, which keeps a full contour extraction at zero steady-state
+// heap growth.
 
-// getImage returns an owned, possibly-recycled image of the given geometry
-// with undefined content. Callers must fully overwrite it.
-func getImage(w, h int) *imgproc.Binary {
-	stride := (w + 63) / 64
-	need := h * stride
-	if v := imgPool.Get(); v != nil {
-		b := v.(*imgproc.Binary)
-		if cap(b.Words) >= need {
-			b.W, b.H, b.Stride = w, h, stride
-			b.Words = b.Words[:need]
-			return b
-		}
-	}
-	return &imgproc.Binary{W: w, H: h, Stride: stride, Words: make([]uint64, need)}
-}
-
-// putImage returns an image to the scratch pool. The caller must not touch
-// it afterwards.
-func putImage(b *imgproc.Binary) {
-	if b != nil {
-		imgPool.Put(b)
-	}
-}
-
-// copyImage returns an owned copy of b from the pool.
-func copyImage(b *imgproc.Binary) *imgproc.Binary {
-	c := getImage(b.W, b.H)
-	copy(c.Words, b.Words)
-	return c
-}
+// colPool recycles vLineOp's per-worker column buffers.
+var colPool imgproc.SlabPool[uint64]
 
 // forWords fans fn out over contiguous word ranges of an n-word image.
 // Chunks are fixed by the worker count and every index is written by exactly
@@ -122,7 +92,7 @@ func dilateW(b *imgproc.Binary, se SE, workers int) *imgproc.Binary {
 	}
 	tmp := dilateH(b, se.W, workers)
 	res := dilateV(tmp, se.H, workers)
-	putImage(tmp)
+	tmp.Release()
 	return res
 }
 
@@ -143,7 +113,7 @@ func erodeW(b *imgproc.Binary, se SE, workers int) *imgproc.Binary {
 	}
 	tmp := erodeH(b, se.W, workers)
 	res := erodeV(tmp, se.H, workers)
-	putImage(tmp)
+	tmp.Release()
 	return res
 }
 
@@ -157,7 +127,7 @@ func Open(b *imgproc.Binary, se SE) *imgproc.Binary {
 func openW(b *imgproc.Binary, se SE, workers int) *imgproc.Binary {
 	tmp := erodeW(b, se, workers)
 	res := dilateW(tmp, se, workers)
-	putImage(tmp)
+	tmp.Release()
 	return res
 }
 
@@ -171,7 +141,7 @@ func Close(b *imgproc.Binary, se SE) *imgproc.Binary {
 func closeW(b *imgproc.Binary, se SE, workers int) *imgproc.Binary {
 	tmp := dilateW(b, se, workers)
 	res := erodeW(tmp, se, workers)
-	putImage(tmp)
+	tmp.Release()
 	return res
 }
 
@@ -189,10 +159,10 @@ func closeW(b *imgproc.Binary, se SE, workers int) *imgproc.Binary {
 // them as misses).
 func hLineOp(b *imgproc.Binary, n int, and bool, workers int) *imgproc.Binary {
 	if n <= 1 {
-		return copyImage(b)
+		return b.Clone()
 	}
 	left := (n - 1) / 2
-	res := getImage(b.W, b.H)
+	res := imgproc.NewBinaryScratch(b.W, b.H)
 	stride := b.Stride
 	tail := uint(b.W) & 63
 	tailMask := ^uint64(0)
@@ -292,9 +262,9 @@ func rowShiftDownCombine(row []uint64, k int, and bool) {
 // the same border semantics as the horizontal kernels.
 func vLineOp(b *imgproc.Binary, n int, and bool, workers int) *imgproc.Binary {
 	if n <= 1 {
-		return copyImage(b)
+		return b.Clone()
 	}
-	res := getImage(b.W, b.H)
+	res := imgproc.NewBinaryScratch(b.W, b.H)
 	h, stride := b.H, b.Stride
 	up := (n - 1) / 2 // window [y-up, y+down]
 	pn := h + n - 1   // padded column: index p = y+up, y in [-up, h-1+(n-1-up)]
@@ -304,12 +274,13 @@ func vLineOp(b *imgproc.Binary, n int, and bool, workers int) *imgproc.Binary {
 	if workers > 1 && h*stride < 1<<14 {
 		workers = 1
 	}
-	scratch := make([][]uint64, workers)
+	bufs := make([][]uint64, workers)
+	slabs := make([]*[]uint64, workers)
 	parallel.ForWorker(workers, stride, func(worker, j int) {
-		buf := scratch[worker]
+		buf := bufs[worker]
 		if buf == nil {
-			buf = make([]uint64, 3*plen)
-			scratch[worker] = buf
+			buf, slabs[worker] = colPool.Get(3 * plen)
+			bufs[worker] = buf
 		}
 		col, suf, pre := buf[:plen], buf[plen:2*plen], buf[2*plen:]
 		for i := 0; i < up; i++ {
@@ -362,6 +333,9 @@ func vLineOp(b *imgproc.Binary, n int, and bool, workers int) *imgproc.Binary {
 			}
 		}
 	})
+	for _, h := range slabs {
+		colPool.Put(h)
+	}
 	return res
 }
 
@@ -402,10 +376,10 @@ func VerticalContoursW(b *imgproc.Binary, bridge, minLen, maxThick, workers int)
 	}
 	opened := openW(work, VLine(minLen), workers)
 	if work != b {
-		putImage(work)
+		work.Release()
 	}
 	regs := imgproc.RegionsW(opened, minLen, workers)
-	putImage(opened)
+	opened.Release()
 	segs := make([]geom.VSeg, 0, len(regs))
 	for _, c := range regs {
 		if maxThick > 0 && c.Box.W() > maxThick {
@@ -434,10 +408,10 @@ func HorizontalContoursW(b *imgproc.Binary, bridge, minLen, maxThick, workers in
 	}
 	opened := openW(work, HLine(minLen), workers)
 	if work != b {
-		putImage(work)
+		work.Release()
 	}
 	regs := imgproc.RegionsW(opened, minLen, workers)
-	putImage(opened)
+	opened.Release()
 	segs := make([]geom.HSeg, 0, len(regs))
 	for _, c := range regs {
 		if maxThick > 0 && c.Box.H() > maxThick {

@@ -441,6 +441,7 @@ func DetectRegions(bw *imgproc.Binary, lines *lad.Result, cfg DetectConfig) []ge
 		w = 1
 	}
 	comps := imgproc.RegionsW(work, 2, w)
+	work.Release() // call-scoped scratch: only the regions' boxes are kept
 	var boxes []geom.Rect
 	for _, c := range comps {
 		if c.Box.H() < cfg.MinGlyphH || c.Box.H() > cfg.MaxGlyphH || c.Box.W() > 3*cfg.MaxGlyphH {

@@ -219,6 +219,7 @@ func cleanup(bw *imgproc.Binary, lines *lad.Result, cfg Config) *imgproc.Binary 
 // Propose returns candidate edge boxes from the working image.
 func Propose(bw *imgproc.Binary, lines *lad.Result, cfg Config) []geom.Rect {
 	work := cleanup(bw, lines, cfg)
+	defer work.Release() // call-scoped scratch: only boxes leave Propose
 	w := cfg.Workers
 	if w == 0 {
 		w = 1

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,7 +13,7 @@ import (
 	"strings"
 
 	"tdmagic/internal/batch"
-	"tdmagic/internal/core"
+	"tdmagic/internal/imgproc"
 	"tdmagic/internal/jobs"
 )
 
@@ -140,26 +139,13 @@ func (s *Server) collectUploadSpecs(mr *multipart.Reader) ([]jobs.ItemSpec, erro
 		if int64(len(data)) > s.cfg.MaxBodyBytes {
 			return nil, fmt.Errorf("part %q exceeds the %d-byte limit", name, s.cfg.MaxBodyBytes)
 		}
-		if msg := screenPNG(data); msg != "" {
-			return nil, fmt.Errorf("part %q: %s", name, msg)
+		// Cheap pre-decode screening (signature, IHDR, raster bound); full
+		// decoding happens on a job worker under its own deadline.
+		if err := imgproc.ScreenPNG(data); err != nil {
+			return nil, fmt.Errorf("part %q: %v", name, err)
 		}
 		specs = append(specs, jobs.ItemSpec{Name: name, Data: bytes.NewReader(data)})
 	}
-}
-
-// screenPNG applies the cheap pre-decode screening (PNG signature, IHDR
-// raster bound) to an uploaded job item; full decoding happens on a job
-// worker under its own deadline.
-func screenPNG(data []byte) string {
-	if len(data) < 24 || [8]byte(data[:8]) != pngMagic {
-		return "not a PNG"
-	}
-	width := int64(binary.BigEndian.Uint32(data[16:20]))
-	height := int64(binary.BigEndian.Uint32(data[20:24]))
-	if width <= 0 || height <= 0 || width*height > core.MaxPixels {
-		return fmt.Sprintf("declared %dx%d raster exceeds the %d-pixel limit", width, height, core.MaxPixels)
-	}
-	return ""
 }
 
 // collectManifestSpecs reads a JSON manifest submission, resolving every

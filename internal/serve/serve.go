@@ -47,7 +47,6 @@ package serve
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -621,6 +620,7 @@ func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) {
 		ctx = obs.ContextWithTrace(ctx, tr)
 	}
 	res := s.process(ctx, img, debug)
+	img.Release() // this handler decoded it; translation and hashing are done
 	// Capture before answering, errors and timeouts included — the slow
 	// trace that exceeded the deadline is exactly the one worth pinning.
 	s.cfg.Flight.Capture(tr)
@@ -719,6 +719,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				}}
 			}
 			res := s.process(ctx, it.Image, false)
+			it.Image.Release() // decoded by multipartSource for this item alone
 			return batch.Result{Cached: res.cached, Aux: itemResultFrom(it.Name, res)}
 		},
 	}, func(res batch.Result) error {
@@ -938,9 +939,6 @@ func (s *Server) readPNG(body io.ReadCloser, contentLength int64) (*imgproc.Gray
 	return s.readPNGStream(io.LimitReader(body, s.cfg.MaxBodyBytes+1))
 }
 
-// pngMagic is the 8-byte PNG signature.
-var pngMagic = [8]byte{0x89, 'P', 'N', 'G', '\r', '\n', 0x1a, '\n'}
-
 // countReader tallies the bytes pulled through it, so the size cap can be
 // enforced on a stream without buffering it.
 type countReader struct {
@@ -954,38 +952,21 @@ func (c *countReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// readPNGStream decodes a PNG straight off r: the 24-byte magic + IHDR
-// prefix is peeked (screening out adversarial "small file, enormous
-// raster" bombs before committing to a decode), the decoder then pulls
-// the compressed stream directly, and the remainder is drained through a
-// byte counter to enforce the size cap. Nothing buffers the encoded body
-// wholesale — resident cost is the decoded raster plus a small bufio
-// window, which is what lets a many-part batch upload stream.
+// readPNGStream decodes a PNG straight off r, then drains the remainder
+// through a byte counter to enforce the size cap. The decoder refuses an
+// adversarial "small file, enormous raster" bomb from its IHDR before
+// allocating, and nothing buffers the encoded body wholesale — resident
+// cost is the decoded raster plus a small bufio window, which is what lets
+// a many-part batch upload stream.
 func (s *Server) readPNGStream(r io.Reader) (*imgproc.Gray, int, string) {
 	cr := &countReader{r: r}
 	br := bufio.NewReader(cr)
-	head, err := br.Peek(24)
-	if len(head) < 24 {
-		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) || err == nil {
-			return nil, http.StatusBadRequest, "body is not a PNG"
-		}
-		return nil, http.StatusBadRequest, "read body: " + err.Error()
-	}
-	if [8]byte(head[:8]) != pngMagic {
-		return nil, http.StatusBadRequest, "body is not a PNG"
-	}
-	// IHDR is mandatory and first: width and height live at bytes 16-23.
-	width := int64(binary.BigEndian.Uint32(head[16:20]))
-	height := int64(binary.BigEndian.Uint32(head[20:24]))
-	if width <= 0 || height <= 0 || width*height > core.MaxPixels {
-		return nil, http.StatusBadRequest,
-			fmt.Sprintf("declared %dx%d raster exceeds the %d-pixel limit", width, height, core.MaxPixels)
-	}
 	img, err := imgproc.DecodePNG(br)
 	// Drain whatever the decoder left (trailing chunks, or the rest of a
 	// body it bailed on) so the byte count below covers the full stream.
 	_, _ = io.Copy(io.Discard, br)
 	if cr.n > s.cfg.MaxBodyBytes {
+		img.Release()
 		return nil, http.StatusBadRequest,
 			fmt.Sprintf("body exceeds the %d-byte limit", s.cfg.MaxBodyBytes)
 	}

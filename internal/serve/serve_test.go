@@ -579,3 +579,25 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 		t.Error(e)
 	}
 }
+
+// TestSEDPanicAnswers500 injects a panic into the concurrent SED stage:
+// the request is answered 500 and the process keeps serving.
+func TestSEDPanicAnswers500(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, CacheSize: -1})
+	_, val := fixture(t)
+	body := pngBytes(t, val[0])
+
+	core.SEDFaultHook = func() { panic("injected sed fault") }
+	resp := postPNG(t, ts.URL, body)
+	got := readBody(t, resp)
+	core.SEDFaultHook = nil
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("SED panic answered %d %s, want 500", resp.StatusCode, got)
+	}
+
+	resp = postPNG(t, ts.URL, body)
+	got = readBody(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("after the panic: %d %s, want 200", resp.StatusCode, got)
+	}
+}

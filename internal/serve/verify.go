@@ -145,6 +145,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			res := s.process(ctx, img, false)
+			img.Release()
 			if res.status != http.StatusOK {
 				s.writeResult(w, res)
 				return
